@@ -4,6 +4,7 @@
 #   make analyze       the AST dataflow engine alone, with a JSON findings report
 #   make typecheck     mypy per the gradual-strictness table in pyproject.toml
 #   make test          the tier-1 suite (includes the static-analysis gate)
+#   make perfbench-test the receiver benchmark's own tests (perfbench/tests)
 #   make soak          full-length server soak (bounded-memory proof)
 #   make check         all of the above
 #   make ci            what .github/workflows/ci.yml runs, locally
@@ -68,7 +69,7 @@ CAMPAIGN_STACKS   ?= campaign_stacks.txt
 
 ANALYZE_OUT ?= analysis_findings.json
 
-.PHONY: lint analyze typecheck test soak check ci campaign bench-gateway bench-decode bench-cascade bench-capacity bench-check bench-profile profile-check
+.PHONY: lint analyze typecheck test perfbench-test soak check ci campaign bench-gateway bench-decode bench-cascade bench-capacity bench-check bench-profile profile-check
 
 lint:
 	$(PYTHON) tools/repro_lint.py --engine=ast src tools
@@ -93,6 +94,12 @@ typecheck:
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
 
+# The receiver benchmark's tests: they resolve its traced entry points and
+# build its gateway config, so a receiver refactor that breaks either fails
+# here.
+perfbench-test:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest perfbench/tests -q
+
 # The tier-1 suite runs a scaled-down version of this; SOAK=1 runs the
 # full-length stream (50x) and the telemetry-cardinality check.
 soak:
@@ -108,6 +115,7 @@ ci:
 	$(MAKE) analyze
 	$(MAKE) typecheck
 	$(MAKE) test
+	$(MAKE) perfbench-test
 	CI=1 $(MAKE) bench-decode BENCH_DECODE_OUT=BENCH_decode.ci.json
 	$(MAKE) bench-check BENCH_CANDIDATE=BENCH_decode.ci.json BENCH_SLACK=0.05
 	CI=1 $(MAKE) bench-cascade BENCH_CASCADE_OUT=BENCH_cascade.ci.json

@@ -37,7 +37,7 @@ from repro.channel import (
     UrbanPathLoss,
 )
 from repro.core import ChoirDecoder, DecodedUser
-from repro.gateway import Gateway, GatewayConfig, GatewayReport
+from repro.gateway import GatewayReport, ShardedGateway, ShardedGatewayConfig
 from repro.mac import (
     AlohaMac,
     ChoirMac,
@@ -73,9 +73,9 @@ __all__ = [
     "UrbanPathLoss",
     "ChoirDecoder",
     "DecodedUser",
-    "Gateway",
-    "GatewayConfig",
     "GatewayReport",
+    "ShardedGateway",
+    "ShardedGatewayConfig",
     "AlohaMac",
     "OracleMac",
     "ChoirMac",

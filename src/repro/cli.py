@@ -205,8 +205,6 @@ def _write_profile_artifacts(
 def cmd_gateway(args: argparse.Namespace) -> int:
     """Run the streaming gateway and print its telemetry summary."""
     from repro.gateway import (
-        Gateway,
-        GatewayConfig,
         IqFileSource,
         ShardedGateway,
         ShardedGatewayConfig,
@@ -214,33 +212,35 @@ def cmd_gateway(args: argparse.Namespace) -> int:
     )
     from repro.gateway.sources import SampleSource
     from repro.mac.simulator import NodeConfig
-    from repro.phy.params import ChannelPlan, LoRaParams
+    from repro.phy.params import ChannelPlan
 
     sf_set = args.sf_set if args.sf_set is not None else (args.sf,)
-    multi_channel = args.channels > 1 or len(sf_set) > 1
-    params = LoRaParams(spreading_factor=sf_set[0])
+    if args.input is not None and args.channels > 1:
+        print("--input replay is single-channel only", file=sys.stderr)
+        return 2
+    plan = ChannelPlan.eu868_style(args.channels)
     profile = bool(args.profile_out or args.stacks_out)
-    gateway: Gateway | ShardedGateway
-    if multi_channel:
-        if args.input is not None:
-            print("--input replay is single-channel only", file=sys.stderr)
-            return 2
-        plan = ChannelPlan.eu868_style(args.channels)
-        sharded_config = ShardedGatewayConfig(
-            plan=plan,
-            sf_set=sf_set,
-            payload_len=args.payload_len,
-            n_workers=args.workers,
-            executor=args.executor,
-            queue_capacity=args.queue_capacity,
-            drop_policy=args.drop_policy,
-            decode_tier=args.decode_tier,
-            seed=args.seed,
-            trace=bool(args.trace_out),
-            trace_sample_rate=args.trace_sample_rate,
-            profile=profile,
-            profile_alloc=args.profile_alloc,
-        )
+    config = ShardedGatewayConfig(
+        plan=plan,
+        sf_set=sf_set,
+        payload_len=args.payload_len,
+        n_workers=args.workers,
+        executor=args.executor,
+        queue_capacity=args.queue_capacity,
+        drop_policy=args.drop_policy,
+        decode_tier=args.decode_tier,
+        seed=args.seed,
+        trace=bool(args.trace_out),
+        trace_sample_rate=args.trace_sample_rate,
+        profile=profile,
+        profile_alloc=args.profile_alloc,
+    )
+    params = config.shard_params(config.sf_set[0])
+    source: SampleSource
+    if args.input is not None:
+        source = IqFileSource(params, args.input)
+        print(f"replaying {args.input}")
+    else:
         nodes = [
             NodeConfig(
                 node_id=i,
@@ -251,7 +251,7 @@ def cmd_gateway(args: argparse.Namespace) -> int:
             )
             for i in range(args.nodes)
         ]
-        source: SampleSource = SyntheticTrafficSource(
+        source = SyntheticTrafficSource(
             params,
             nodes,
             duration_s=args.duration,
@@ -262,47 +262,11 @@ def cmd_gateway(args: argparse.Namespace) -> int:
         print(
             f"synthesizing {args.duration:.1f}s of wideband traffic:"
             f" {args.nodes} node(s) across {plan.n_channels} channel(s),"
-            f" SF set {','.join(str(s) for s in sharded_config.sf_set)},"
+            f" SF set {','.join(str(s) for s in config.sf_set)},"
             f" period {args.period}s, {args.snr:.0f} dB SNR,"
             f" {len(source.transmitted)} packets"
         )
-        gateway = ShardedGateway(sharded_config)
-    else:
-        config = GatewayConfig(
-            params=params,
-            payload_len=args.payload_len,
-            n_workers=args.workers,
-            executor=args.executor,
-            queue_capacity=args.queue_capacity,
-            drop_policy=args.drop_policy,
-            decode_tier=args.decode_tier,
-            seed=args.seed,
-            trace=bool(args.trace_out),
-            trace_sample_rate=args.trace_sample_rate,
-            profile=profile,
-            profile_alloc=args.profile_alloc,
-        )
-        if args.input is not None:
-            source = IqFileSource(params, args.input)
-            print(f"replaying {args.input}")
-        else:
-            nodes = [
-                NodeConfig(node_id=i, snr_db=args.snr, period_s=args.period)
-                for i in range(args.nodes)
-            ]
-            source = SyntheticTrafficSource(
-                params,
-                nodes,
-                duration_s=args.duration,
-                payload_len=args.payload_len,
-                rng=args.seed,
-            )
-            print(
-                f"synthesizing {args.duration:.1f}s of traffic:"
-                f" {args.nodes} node(s), period {args.period}s, {args.snr:.0f} dB SNR,"
-                f" {len(source.transmitted)} packets"
-            )
-        gateway = Gateway(config)
+    gateway = ShardedGateway(config)
     report = gateway.run(source)
     print(report.summary())
     if isinstance(source, SyntheticTrafficSource):
@@ -344,7 +308,7 @@ def cmd_gateway(args: argparse.Namespace) -> int:
         }
         _write_profile_artifacts(
             args,
-            "sharded-gateway" if multi_channel else "gateway",
+            "gateway",
             run_config,
             args.seed,
             digest=report_digest(report),
@@ -690,13 +654,13 @@ def main(argv: list[str] | None = None) -> int:
         "--channels",
         type=int,
         default=1,
-        help="channels in the (EU868-style) plan; >1 runs the sharded gateway",
+        help="channels in the (EU868-style) plan",
     )
     gw.add_argument(
         "--sf-set",
         type=_parse_sf_set,
         default=None,
-        help="comma list of SFs to scan per channel (e.g. 7,8); implies sharding",
+        help="comma list of SFs to scan per channel (e.g. 7,8; default: --sf)",
     )
     gw.add_argument("--nodes", type=int, default=2, help="synthetic node count")
     gw.add_argument(

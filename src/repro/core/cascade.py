@@ -153,14 +153,13 @@ class ChoirPipeline:
         self,
         params: LoRaParams,
         rng: RngLike = None,
-        use_engine: bool = True,
         synchronize: bool = True,
         coding_rate: int = 4,
         sync_search_symbols: int = 0,
         max_users: Optional[int] = None,
     ) -> None:
         self.params = params
-        self.decoder = ChoirDecoder(params, use_engine=use_engine, rng=rng)
+        self.decoder = ChoirDecoder(params, rng=rng)
         self.framer = LoRaFramer(params, coding_rate=coding_rate)
         self.synchronize = synchronize
         self.sync_search_symbols = sync_search_symbols
@@ -367,7 +366,6 @@ def build_pipeline(
     tier: str,
     params: LoRaParams,
     rng: RngLike = None,
-    use_engine: bool = True,
     synchronize: bool = True,
     coding_rate: int = 4,
     sync_search_symbols: int = 0,
@@ -388,7 +386,6 @@ def build_pipeline(
     full = ChoirPipeline(
         params,
         rng=rng,
-        use_engine=use_engine,
         synchronize=synchronize,
         coding_rate=coding_rate,
         sync_search_symbols=sync_search_symbols,

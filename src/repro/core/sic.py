@@ -26,7 +26,6 @@ from repro.core.offsets import (
     build_user_estimates,
     coarse_offsets,
     estimate_delays,
-    golden_section_minimize,
     refine_offsets,
 )
 from repro.core.residual import residual_power
@@ -101,7 +100,6 @@ def _consolidate_clusters(
     cluster_radius_bins: float = 3.0,
     accept_factor: float = 1.1,
     max_delay: float = 64.0,
-    use_engine: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Try replacing each tight user cluster with ONE delay-aware user.
 
@@ -114,15 +112,14 @@ def _consolidate_clusters(
     its residual is within ``accept_factor`` of the cluster's -- standard
     penalized model-order selection.
 
-    With ``use_engine`` (the default) the whole (mu, delta) grid for a
-    cluster is scored as one Schur-complement batch against a
-    :class:`repro.core.engine.CandidateView` of the out-of-cluster users;
-    ``use_engine=False`` keeps the original scalar loop as the reference.
+    The whole (mu, delta) grid for a cluster is scored as one
+    Schur-complement batch against a
+    :class:`repro.core.engine.CandidateView` of the out-of-cluster users.
     """
     if positions.size < 2:
         return positions, delays
     n_bins = windows.shape[-1]
-    engine = ResidualEngine(windows) if use_engine else None
+    engine = ResidualEngine(windows)
     attempted: set[tuple[float, ...]] = set()
     while True:
         clusters = [
@@ -146,82 +143,43 @@ def _consolidate_clusters(
         others_pos, others_del = positions[keep], delays[keep]
         lo = float(np.min(positions[cluster])) - 0.5
         hi = float(np.max(positions[cluster])) + 0.5
-        if engine is not None:
-            multi_residual = engine.residual(positions, delays)
-            view = CandidateView(engine, others_pos, others_del)
-            mu_grid = np.arange(lo, hi + 1e-9, 0.1)
-            # Anchor frac(delta) per mu from the candidate's joint-fit
-            # phase slope (Eqn. 5) -- candidate_channels returns exactly
-            # the candidate's row of the joint fit, batched over the grid.
-            cand_channels = view.candidate_channels(mu_grid, None)
-            fracs = np.array(
-                [
-                    (_phase_slope(cand_channels[:, c]) - mu_grid[c]) % 1.0
-                    for c in range(mu_grid.size)
-                ]
-            )
-            delta_steps = np.arange(0.0, max_delay, 2.0)
-            mus_flat = np.repeat(mu_grid, delta_steps.size)
-            deltas_flat = (fracs[:, None] + delta_steps[None, :]).ravel()
-            costs = view.residuals(mus_flat, deltas_flat)
-            best_idx = int(np.argmin(costs))
-            best_mu = float(mus_flat[best_idx])
-            best_delta = float(deltas_flat[best_idx])
-            # Polish only within the smooth neighbourhood: the residual
-            # oscillates with frac(delta), so a wide bracket would hop lobes.
-            best_delta = view.minimize(
-                best_delta - 0.3,
-                best_delta + 0.3,
-                tol=0.02,
-                vary="delay",
-                fixed=best_mu,
-            )
-            single_residual = float(
-                view.residuals(
-                    np.array([best_mu]), np.array([max(best_delta, 0.0)])
-                )[0]
-            )
-            if single_residual <= multi_residual * accept_factor:
-                positions = np.concatenate([others_pos, [best_mu]])
-                delays = np.concatenate([others_del, [max(best_delta, 0.0)]])
-            continue
-        multi_residual = residual_power(windows, positions, delays)
-        best: tuple[float, float, float] | None = None  # (residual, mu, delta)
-        for mu in np.arange(lo, hi + 1e-9, 0.1):
-            trial_pos = np.concatenate([others_pos, [mu]])
-            # Anchor frac(delta) from the candidate's phase slope (Eqn. 5).
-            channels = np.atleast_2d(
-                estimate_channels(windows, trial_pos, np.concatenate([others_del, [0.0]]))
-            )
-            frac = (_phase_slope(channels[:, -1]) - mu) % 1.0
-            deltas = frac + np.arange(0.0, max_delay, 2.0)
-            for delta in deltas:
-                r = residual_power(
-                    windows, trial_pos, np.concatenate([others_del, [delta]])
-                )
-                if best is None or r < best[0]:
-                    best = (r, float(mu), float(delta))
-        if best is None:
-            continue
-        _, best_mu, best_delta = best
-
-        def fun(delta: float) -> float:
-            return residual_power(
-                windows,
-                np.concatenate([others_pos, [best_mu]]),
-                np.concatenate([others_del, [max(delta, 0.0)]]),
-            )
-
+        multi_residual = engine.residual(positions, delays)
+        view = CandidateView(engine, others_pos, others_del)
+        mu_grid = np.arange(lo, hi + 1e-9, 0.1)
+        # Anchor frac(delta) per mu from the candidate's joint-fit
+        # phase slope (Eqn. 5) -- candidate_channels returns exactly
+        # the candidate's row of the joint fit, batched over the grid.
+        cand_channels = view.candidate_channels(mu_grid, None)
+        fracs = np.array(
+            [
+                (_phase_slope(cand_channels[:, c]) - mu_grid[c]) % 1.0
+                for c in range(mu_grid.size)
+            ]
+        )
+        delta_steps = np.arange(0.0, max_delay, 2.0)
+        mus_flat = np.repeat(mu_grid, delta_steps.size)
+        deltas_flat = (fracs[:, None] + delta_steps[None, :]).ravel()
+        costs = view.residuals(mus_flat, deltas_flat)
+        best_idx = int(np.argmin(costs))
+        best_mu = float(mus_flat[best_idx])
+        best_delta = float(deltas_flat[best_idx])
         # Polish only within the smooth neighbourhood: the residual
         # oscillates with frac(delta), so a wide bracket would hop lobes.
-        best_delta = golden_section_minimize(
-            fun, best_delta - 0.3, best_delta + 0.3, tol=0.02
+        best_delta = view.minimize(
+            best_delta - 0.3,
+            best_delta + 0.3,
+            tol=0.02,
+            vary="delay",
+            fixed=best_mu,
         )
-        single_residual = fun(best_delta)
+        single_residual = float(
+            view.residuals(
+                np.array([best_mu]), np.array([max(best_delta, 0.0)])
+            )[0]
+        )
         if single_residual <= multi_residual * accept_factor:
             positions = np.concatenate([others_pos, [best_mu]])
             delays = np.concatenate([others_del, [max(best_delta, 0.0)]])
-    return positions, delays
 
 
 def _occam_prune(
@@ -284,7 +242,6 @@ def phased_sic(
     estimate_timing: bool = True,
     min_separation_bins: float = 0.75,
     min_relative_magnitude: float = 0.02,
-    use_engine: bool = True,
     rng: RngLike = None,
 ) -> list[UserEstimate]:
     """Detect and estimate users tier by tier.
@@ -303,10 +260,6 @@ def phased_sic(
         Fit each user's sub-symbol delay (the boundary-glitch model).
         Keeping this on is what lets the residual reach the noise floor at
         high SNR instead of bottoming out at the glitch level.
-    use_engine:
-        Route every residual search (refinement, delay fits, cluster
-        consolidation) through :class:`repro.core.engine.ResidualEngine`'s
-        batched paths; ``False`` selects the scalar reference loops.
 
     Returns
     -------
@@ -318,7 +271,6 @@ def phased_sic(
     positions = np.zeros(0)
     delays = np.zeros(0)
     n_bins = original.shape[-1]
-    refine_method = "coordinate" if use_engine else "coordinate-scalar"
     for tier in range(max_tiers):
         remaining_budget = None if max_users is None else max_users - positions.size
         if remaining_budget is not None and remaining_budget <= 0:
@@ -341,13 +293,13 @@ def phased_sic(
             delays = np.concatenate([delays, np.zeros(len(new_positions))])
             if refine:
                 positions = refine_offsets(
-                    original, positions, delays_samples=delays, method=refine_method, rng=rng
+                    original, positions, delays_samples=delays, method="coordinate", rng=rng
                 )
                 positions, delays = _merge_duplicates(
                     positions, delays, original, min_separation_bins
                 )
             if estimate_timing:
-                delays = estimate_delays(original, positions, use_engine=use_engine)
+                delays = estimate_delays(original, positions)
                 if refine:
                     # One more position sweep now that the glitch is modelled.
                     positions = refine_offsets(
@@ -355,7 +307,7 @@ def phased_sic(
                         positions,
                         delays_samples=delays,
                         half_width_bins=0.2,
-                        method=refine_method,
+                        method="coordinate",
                         rng=rng,
                     )
                     positions, delays = _merge_duplicates(
@@ -376,9 +328,7 @@ def phased_sic(
     if positions.size == 0:
         return []
     with profile_context.kernel("sic.finalize", f"K{positions.size}"):
-        positions, delays = _consolidate_clusters(
-            original, positions, delays, use_engine=use_engine
-        )
+        positions, delays = _consolidate_clusters(original, positions, delays)
         positions, delays = _occam_prune(original, positions, delays)
         estimates = build_user_estimates(original, positions, delays)
     # Ghost suppression: residual junk occasionally clears a tier threshold

@@ -5,27 +5,14 @@ continuous sample stream is ingested in chunks, packets are detected over
 a ring buffer, and detected windows are decoded by a bounded worker pool
 with explicit backpressure.  Every stage reports telemetry.
 
-Quick start::
+Quick start (8 channels, mixed SF7/SF8, one shared decode pool; a
+single channel is ``ChannelPlan(n_channels=1)``)::
 
-    from repro.gateway import Gateway, GatewayConfig, SyntheticTrafficSource
-    from repro.mac import NodeConfig
-    from repro.phy import LoRaParams
-
-    params = LoRaParams(spreading_factor=7)
-    config = GatewayConfig(params=params, n_workers=4, seed=0)
-    source = SyntheticTrafficSource(
-        params,
-        nodes=[NodeConfig(node_id=i, snr_db=15.0, period_s=0.5) for i in range(4)],
-        duration_s=5.0,
-        rng=0,
+    from repro.gateway import (
+        ShardedGateway, ShardedGatewayConfig, SyntheticTrafficSource,
     )
-    report = Gateway(config).run(source)
-    print(report.summary())
-
-Multi-channel quick start (8 channels, mixed SF7/SF8, one shared pool)::
-
-    from repro.gateway import ShardedGateway, ShardedGatewayConfig
-    from repro.phy import ChannelPlan
+    from repro.mac import NodeConfig
+    from repro.phy import ChannelPlan, LoRaParams
 
     plan = ChannelPlan.eu868_style(8)
     config = ShardedGatewayConfig(plan=plan, sf_set=(7, 8), n_workers=4, seed=0)
@@ -51,7 +38,7 @@ from repro.gateway.channelizer import (
     upconvert_to_channel,
 )
 from repro.gateway.ring import SampleRing
-from repro.gateway.runtime import Gateway, GatewayConfig, GatewayReport, StreamScanner
+from repro.gateway.runtime import GatewayReport, StreamScanner
 from repro.gateway.sharded import ShardedGateway, ShardedGatewayConfig
 from repro.gateway.sources import (
     DEFAULT_CHUNK_SAMPLES,
@@ -91,8 +78,6 @@ __all__ = [
     "DecodeWorkerPool",
     "DurationHistogram",
     "EXECUTORS",
-    "Gateway",
-    "GatewayConfig",
     "GatewayReport",
     "Gauge",
     "IqFileSource",

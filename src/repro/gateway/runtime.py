@@ -1,158 +1,47 @@
-"""The streaming gateway runtime: ingest -> detect -> dispatch -> decode.
+"""Per-shard streaming pieces of the gateway: the scanner and the report.
 
-This is the base-station-side loop the paper assumes but the rest of the
-repo never had: instead of decoding one pre-cut capture, the gateway
-consumes a continuous IQ stream in chunks, finds packets on the fly, and
-keeps decoding while the stream keeps arriving.
+The gateway (:class:`repro.gateway.sharded.ShardedGateway`) consumes a
+continuous IQ stream in chunks, finds packets on the fly, and keeps
+decoding while the stream keeps arriving.  This module holds the two
+pieces it is built from:
 
-Stages (each instrumented through :mod:`repro.gateway.telemetry`):
-
-1. **ingest** -- append the next source chunk to a bounded
-   :class:`repro.gateway.ring.SampleRing` (overflow evicts the oldest
-   samples, counted as loss).
-2. **detect** -- slide :func:`repro.core.detection.sliding_packet_search`
-   (``earliest=True``) over the unscanned span of the ring.  A detection
-   whose frame tail has not arrived yet stays pending until the next
-   chunk, which is how packets straddling chunk boundaries survive.
-3. **dispatch** -- cut the packet window (one guard symbol of lead for
-   :func:`repro.core.detection.align_to_window_grid` to find the exact
-   boundary) and submit it to the
-   :class:`repro.gateway.workers.DecodeWorkerPool`; the bounded queue's
-   drop policy is the backpressure valve.
-4. **decode** -- workers run the full :class:`repro.core.ChoirDecoder`
-   pipeline plus the LoRa FEC/CRC chain and report per-user payloads.
-
-``Gateway.run(source)`` returns a :class:`GatewayReport` with counts,
-throughput, per-stage latency percentiles and every decode outcome.
+* :class:`StreamScanner` -- the **detect** and **dispatch** stages of one
+  (channel, SF) shard: slide
+  :func:`repro.core.detection.sliding_packet_search` (``earliest=True``)
+  over the unscanned span of the channel's
+  :class:`repro.gateway.ring.SampleRing`, cut each detected packet window
+  (with lead for :func:`repro.core.detection.align_to_window_grid` to
+  find the exact boundary) and submit it to the
+  :class:`repro.gateway.workers.DecodeWorkerPool`.  A detection whose
+  frame tail has not arrived yet stays pending until the next chunk,
+  which is how packets straddling chunk boundaries survive.
+* :class:`GatewayReport` -- what a run returns: counts, throughput,
+  per-stage latency percentiles, the per-shard table and every decode
+  outcome.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
-from repro.core.cascade import DECODE_TIERS
 from repro.core.detection import sliding_packet_search
 from repro.gateway.ring import SampleRing
-from repro.gateway.sources import SampleSource
-from repro.gateway.telemetry import Telemetry, clock
+from repro.gateway.telemetry import Telemetry, clock, shard_label
 from repro.gateway.workers import DecodeJob, DecodeOutcome, DecodeWorkerPool
 from repro.phy.packet import LoRaFramer
 from repro.phy.params import LoRaParams
-from repro.profile import context as profile_context
 from repro.profile.profiler import KernelProfiler
-from repro.profile.resources import ResourceAccountant, ResourceSummary
-from repro.trace.recorder import TraceConfig, TraceRecorder
-
-
-@dataclass(frozen=True)
-class GatewayConfig:
-    """Everything configurable about one gateway run.
-
-    Parameters
-    ----------
-    params:
-        Shared PHY configuration (must match the traffic).
-    payload_len:
-        Application payload bytes per packet; fixes the frame geometry
-        the detector paces by and the decoder decodes.
-    n_workers, executor, queue_capacity, drop_policy:
-        Decode pool shape; see
-        :class:`repro.gateway.workers.DecodeWorkerPool`.
-    ring_symbols:
-        Ring-buffer capacity in symbols (must hold at least two frames;
-        sized automatically when 0).
-    detection_pfa:
-        Search-level false-alarm probability per detection scan.
-    max_users:
-        Cap on SIC user estimates per decoded window; bounds the
-        worst-case decode time on windows full of interference
-        (None = uncapped).
-    use_engine:
-        Route decode residual searches through the batched
-        :class:`repro.core.engine.ResidualEngine` paths (default); the
-        scalar reference loops are selected with ``False``.
-    decode_tier:
-        Which pipeline decodes each window: ``"full"`` (default),
-        ``"cascade"`` (Tier-0 fast path with escalation to the full
-        Choir pipeline) or ``"fast"`` (Tier 0 only); see
-        :mod:`repro.core.cascade`.
-    seed:
-        Master seed; per-job decode RNGs derive from it.
-    trace:
-        Attach a :class:`repro.trace.TraceRecorder` to the run: record
-        every detection and decode outcome, and build provenance span
-        trees per the sampling policy below.
-    trace_sample_rate:
-        Fraction of jobs whose span tree is retained unconditionally
-        (deterministic by rng_key; 1.0 = every job).
-    trace_always_sample_failures:
-        Retain the span tree of every job that fails CRC, whatever the
-        sample rate -- the mode that keeps forensics complete while
-        bounding trace volume on healthy traffic.
-    profile:
-        Attach a :class:`repro.profile.KernelProfiler` to the run:
-        per-kernel wall/FFT/bytes accounting on every executor, folded
-        into telemetry (``profile.kernel.*``) and reported on the
-        :class:`GatewayReport` alongside a resource summary.
-    profile_alloc:
-        With ``profile``, additionally track allocations via
-        ``tracemalloc`` and keep the top so-many sites (0 = off; this
-        is the expensive knob, ~2-4x slowdown).
-    """
-
-    params: LoRaParams = field(default_factory=LoRaParams)
-    payload_len: int = 8
-    n_workers: int = 1
-    executor: str = "thread"
-    queue_capacity: int = 8
-    drop_policy: str = "newest"
-    ring_symbols: int = 0
-    detection_pfa: float = 1e-3
-    coding_rate: int = 4
-    synchronize: bool = True
-    max_users: Optional[int] = 4
-    use_engine: bool = True
-    decode_tier: str = "full"
-    seed: Optional[int] = None
-    trace: bool = False
-    trace_sample_rate: float = 1.0
-    trace_always_sample_failures: bool = True
-    profile: bool = False
-    profile_alloc: int = 0
-
-    def __post_init__(self) -> None:
-        if self.decode_tier not in DECODE_TIERS:
-            raise ValueError(
-                f"decode_tier must be one of {DECODE_TIERS}, got {self.decode_tier!r}"
-            )
-
-    def trace_config(self) -> TraceConfig:
-        """The sampling policy implied by the trace fields."""
-        return TraceConfig(
-            sample_rate=self.trace_sample_rate,
-            always_sample_failures=self.trace_always_sample_failures,
-        )
-
-    def n_data_symbols(self) -> int:
-        """Data symbols per frame for this payload length."""
-        framer = LoRaFramer(self.params, coding_rate=self.coding_rate)
-        return framer.n_symbols_for_payload(self.payload_len)
-
-    def frame_samples(self) -> int:
-        """Samples per frame: preamble plus data symbols."""
-        return (
-            self.params.preamble_len + self.n_data_symbols()
-        ) * self.params.samples_per_symbol
+from repro.profile.resources import ResourceSummary
+from repro.trace.recorder import TraceRecorder
 
 
 @dataclass
 class GatewayReport:
     """Outcome of one gateway run: counts, rates, latencies, payloads.
 
-    Multi-channel (sharded) runs additionally fill ``shards``: one row of
-    counters per ``ch{c}.sf{s}`` shard label, with the top-level counts
-    acting as the cross-channel aggregate.
+    ``shards`` holds one row of counters per ``ch{c}.sf{s}`` shard label;
+    the top-level counts are the cross-shard aggregate.
     """
 
     samples_in: int
@@ -167,7 +56,7 @@ class GatewayReport:
     stream_s: float
     outcomes: List[DecodeOutcome]
     telemetry: Dict[str, Dict[str, Any]]
-    shards: Optional[Dict[str, Dict[str, int]]] = None
+    shards: Dict[str, Dict[str, int]]
     trace: Optional[TraceRecorder] = None
     profile: Optional[KernelProfiler] = None
     resources: Optional[ResourceSummary] = None
@@ -300,26 +189,24 @@ class GatewayReport:
         if self.decode_errors:
             lines.append(f"  errors       {self.decode_errors}")
         lines.extend(self._tier_lines())
-        if self.shards:
-            lines.append("per-shard recovery")
-            for label in sorted(self.shards):
-                row = self.shards[label]
-                lines.append(
-                    f"  {label:<12} detected={row.get('detected', 0)}"
-                    f" decoded={row.get('decoded', 0)}"
-                    f" crc-failed={row.get('crc_failed', 0)}"
-                    f" dropped={row.get('dropped', 0)}"
-                )
+        lines.append("per-shard recovery")
+        for label in sorted(self.shards):
+            row = self.shards[label]
             lines.append(
-                f"  {'all-shards':<12} detected={self.packets_detected}"
-                f" decoded={self.packets_decoded}"
-                f" crc-failed={self.crc_failures}"
-                f" dropped={self.packets_dropped}"
+                f"  {label:<12} detected={row.get('detected', 0)}"
+                f" decoded={row.get('decoded', 0)}"
+                f" crc-failed={row.get('crc_failed', 0)}"
+                f" dropped={row.get('dropped', 0)}"
             )
+        lines.append(
+            f"  {'all-shards':<12} detected={self.packets_detected}"
+            f" decoded={self.packets_decoded}"
+            f" crc-failed={self.crc_failures}"
+            f" dropped={self.packets_dropped}"
+        )
         lines.append("per-stage latency")
         lines.append(self._stage_line("ingest", "ingest.chunk_s"))
-        if "channelize.push_s" in self.telemetry:
-            lines.append(self._stage_line("channelize", "channelize.push_s"))
+        lines.append(self._stage_line("channelize", "channelize.push_s"))
         lines.append(self._stage_line("detect", "detect.scan_s"))
         lines.append(self._stage_line("queue-wait", "decode.queue_wait_s"))
         lines.append(self._stage_line("decode", "decode.decode_s"))
@@ -355,28 +242,26 @@ class StreamScanner:
     ``release_pos`` -- the earliest absolute sample it may still need --
     and the ring's owner consumes up to the *minimum* release position of
     every scanner sharing the ring.  That indirection is what lets the
-    sharded gateway multiplex several SF scanners over one channel's
-    stream; a single-scanner ring (the classic :class:`Gateway`) consumes
-    straight to ``release_pos`` and behaves exactly as before.
+    gateway multiplex several SF scanners over one channel's stream.
 
     Parameters
     ----------
     params:
         PHY configuration of this shard (sets the frame geometry the
-        detector paces by).
+        detector paces by, and the params every submitted job decodes
+        with).
+    channel:
+        The shard's channel.  Jobs carry it, their RNG key is
+        ``(channel, sf, shard_seq)`` (keeping decode RNG independent of
+        cross-shard interleaving), and per-shard telemetry is prefixed
+        with ``label`` = ``ch{channel}.sf{sf}``.
     payload_len, coding_rate:
         Frame geometry of the expected traffic.
     telemetry:
         Shared registry; scan instruments use the common ``detect.*``
-        names, plus ``{label}.detect.packets`` when ``label`` is set.
+        names plus ``{label}.detect.packets``.
     detection_pfa:
         Search-level false-alarm probability per scan.
-    channel, job_params, rng_prefix, label:
-        Shard tagging for submitted jobs: ``job_params`` overrides the
-        pool's PHY params per job, ``rng_prefix + (shard_seq,)`` replaces
-        the job-id RNG key (keeping decode RNG independent of cross-shard
-        interleaving), and ``label`` prefixes per-shard telemetry.  All
-        default to the untagged single-channel behaviour.
     trace_recorder:
         Optional :class:`repro.trace.TraceRecorder` receiving one
         detection record per dispatched job.
@@ -385,24 +270,19 @@ class StreamScanner:
     def __init__(
         self,
         params: LoRaParams,
+        channel: int,
         payload_len: int,
         telemetry: Telemetry,
         detection_pfa: float = 1e-3,
         coding_rate: int = 4,
-        channel: int = 0,
-        job_params: Optional[LoRaParams] = None,
-        rng_prefix: Optional[Tuple[int, ...]] = None,
-        label: str = "",
         trace_recorder: Optional[TraceRecorder] = None,
     ) -> None:
         self.params = params
+        self.channel = channel
+        self.label = shard_label(channel, params.spreading_factor)
         self.payload_len = payload_len
         self.telemetry = telemetry
         self.detection_pfa = detection_pfa
-        self.channel = channel
-        self.job_params = job_params
-        self.rng_prefix = rng_prefix
-        self.label = label
         self.trace_recorder = trace_recorder
         framer = LoRaFramer(params, coding_rate=coding_rate)
         self.n_data_symbols = framer.n_symbols_for_payload(payload_len)
@@ -429,11 +309,6 @@ class StreamScanner:
                   job_id: int, score: float) -> DecodeJob:
         window_start = max(start - self.lead, ring.start)
         window_end = min(window_end, ring.end)
-        rng_key = (
-            None
-            if self.rng_prefix is None
-            else self.rng_prefix + (self.shard_seq,)
-        )
         return DecodeJob(
             job_id=job_id,
             samples=ring.view(window_start, window_end - window_start),
@@ -442,9 +317,9 @@ class StreamScanner:
             start_sample=window_start,
             detection_score=score,
             created_at=clock(),
-            params=self.job_params,
+            params=self.params,
             channel=self.channel,
-            rng_key=rng_key,
+            rng_key=(self.channel, self.params.spreading_factor, self.shard_seq),
         )
 
     def scan(
@@ -497,8 +372,7 @@ class StreamScanner:
             next_job_id += 1
             self.shard_seq += 1
             telemetry.counter("detect.packets").inc()
-            if self.label:
-                telemetry.counter(f"{self.label}.detect.packets").inc()
+            telemetry.counter(f"{self.label}.detect.packets").inc()
             if self.trace_recorder is not None:
                 self.trace_recorder.record_detection(
                     job_id=job.job_id,
@@ -522,156 +396,3 @@ class StreamScanner:
                 break
         return next_job_id
 
-
-class Gateway:
-    """Streaming base-station runtime around a decode worker pool.
-
-    Construct with a :class:`GatewayConfig`, then :meth:`run` it over any
-    :class:`repro.gateway.sources.SampleSource`.  A fresh
-    :class:`Telemetry` registry is created per run unless one is
-    injected (e.g. to aggregate several runs).  ``on_outcome`` streams
-    every decode outcome to the caller live (the network-server uplink
-    tap); see :class:`repro.gateway.workers.DecodeWorkerPool` for its
-    threading contract.
-    """
-
-    def __init__(
-        self,
-        config: GatewayConfig,
-        telemetry: Optional[Telemetry] = None,
-        trace_recorder: Optional[TraceRecorder] = None,
-        profiler: Optional[KernelProfiler] = None,
-        on_outcome: Optional[Callable[[DecodeOutcome], None]] = None,
-    ) -> None:
-        self.config = config
-        self.on_outcome = on_outcome
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
-        if trace_recorder is None and config.trace:
-            trace_recorder = TraceRecorder(config.trace_config())
-        self.trace_recorder = trace_recorder
-        if profiler is None and config.profile:
-            profiler = KernelProfiler()
-        self.profiler = profiler
-        n = config.params.samples_per_symbol
-        frame = config.frame_samples()
-        if config.ring_symbols:
-            capacity = config.ring_symbols * n
-            if capacity < 2 * frame:
-                raise ValueError(
-                    f"ring_symbols={config.ring_symbols} holds less than two "
-                    f"frames ({2 * frame // n} symbols needed)"
-                )
-        else:
-            # Default: four frames -- room for one packet mid-decode-cut,
-            # one arriving, and scan overlap, without unbounded growth.
-            capacity = 4 * frame
-        self._ring_capacity = capacity
-
-    # ------------------------------------------------------------------
-    def run(self, source: SampleSource) -> GatewayReport:
-        """Consume ``source`` to exhaustion and report what was decoded."""
-        config = self.config
-        params = config.params
-        telemetry = self.telemetry
-        ring = SampleRing(self._ring_capacity)
-        recorder = self.trace_recorder
-        if recorder is not None:
-            recorder.set_header(
-                run_kind="gateway",
-                executor=config.executor,
-                n_workers=config.n_workers,
-                seed=config.seed,
-                spreading_factor=params.spreading_factor,
-                payload_len=config.payload_len,
-                decode_tier=config.decode_tier,
-                sample_rate=recorder.config.sample_rate,
-                always_sample_failures=recorder.config.always_sample_failures,
-            )
-            ground_truth = getattr(source, "ground_truth", None)
-            if callable(ground_truth):
-                recorder.set_ground_truth(ground_truth())
-        scanner = StreamScanner(
-            params,
-            config.payload_len,
-            telemetry,
-            detection_pfa=config.detection_pfa,
-            coding_rate=config.coding_rate,
-            trace_recorder=recorder,
-        )
-        pool = DecodeWorkerPool(
-            params,
-            n_workers=config.n_workers,
-            executor=config.executor,
-            queue_capacity=config.queue_capacity,
-            drop_policy=config.drop_policy,
-            synchronize=config.synchronize,
-            coding_rate=config.coding_rate,
-            # The cut gives two symbols of lead before the (window-granular)
-            # detected start, so the true boundary is inside the first three.
-            sync_search_symbols=3,
-            max_users=config.max_users,
-            use_engine=config.use_engine,
-            decode_tier=config.decode_tier,
-            rng=config.seed,
-            telemetry=telemetry,
-            trace_recorder=recorder,
-            profiler=self.profiler,
-            on_outcome=self.on_outcome,
-        )
-        samples_in = 0
-        chunks_in = 0
-        evicted = 0
-        next_job_id = 0
-        accountant: Optional[ResourceAccountant] = None
-        if self.profiler is not None:
-            accountant = ResourceAccountant(
-                alloc_top_n=config.profile_alloc
-            )
-            accountant.start()
-        started = clock()
-        # The run-level ambient profiler covers work done in the ingest
-        # loop itself (detection scans, channelizer pushes on sharded
-        # runs); per-job decode work uses job-local profilers merged by
-        # the pool, so nothing is counted twice.
-        with profile_context.use_profiler(self.profiler):
-            for chunk in source.chunks():
-                with telemetry.timer("ingest.chunk_s"):
-                    evicted += ring.append(chunk)
-                    samples_in += len(chunk)
-                    chunks_in += 1
-                    telemetry.counter("ingest.samples").inc(len(chunk))
-                if self.profiler is not None:
-                    telemetry.gauge("ring.occupancy").set(
-                        len(ring) / self._ring_capacity
-                    )
-                next_job_id = scanner.scan(ring, pool, next_job_id)
-                ring.consume(scanner.release_pos)
-            # Final drain: scan whatever remains after the last chunk.
-            next_job_id = scanner.scan(ring, pool, next_job_id, final=True)
-            outcomes = pool.close()
-        wall = clock() - started
-        resources: Optional[ResourceSummary] = None
-        if accountant is not None:
-            resources = accountant.stop()
-        if self.profiler is not None:
-            self.profiler.fold_into(telemetry)
-        snapshot = telemetry.snapshot()
-        crc_ok = sum(1 for o in outcomes if o.crc_ok)
-        errors = sum(1 for o in outcomes if o.error is not None)
-        return GatewayReport(
-            samples_in=samples_in,
-            chunks_in=chunks_in,
-            samples_evicted=evicted,
-            packets_detected=scanner.detected,
-            packets_dropped=pool.dropped,
-            packets_decoded=crc_ok,
-            crc_failures=sum(1 for o in outcomes if not o.crc_ok and o.error is None),
-            decode_errors=errors,
-            wall_s=wall,
-            stream_s=samples_in / params.sample_rate,
-            outcomes=outcomes,
-            telemetry=snapshot,
-            trace=recorder,
-            profile=self.profiler,
-            resources=resources,
-        )

@@ -1,15 +1,18 @@
-"""Multi-channel, multi-SF sharded gateway: one wideband stream, many shards.
+"""The streaming gateway: one wideband stream, one shard per (channel, SF).
 
 Real LoRaWAN base stations do not listen to a single 125 kHz channel: the
 regional plans (EU868, US915) define eight-channel uplink grids, and every
-channel can carry several spreading factors at once.  This module scales
-the streaming runtime of :mod:`repro.gateway.runtime` out to that shape:
+channel can carry several spreading factors at once.  The gateway takes
+that shape; a single channel is its ``n_channels=1`` case, where the
+channelizer passes the stream straight through.  Stages, each instrumented
+through :mod:`repro.gateway.telemetry`:
 
 1. **channelize** -- a :class:`repro.gateway.channelizer.PolyphaseChannelizer`
    splits each wideband chunk into the per-channel basebands of a
    :class:`repro.phy.params.ChannelPlan`.
 2. **per-channel rings** -- every channel buffers its stream in its own
-   :class:`repro.gateway.ring.SampleRing`.
+   bounded :class:`repro.gateway.ring.SampleRing` (overflow evicts the
+   oldest samples, counted as loss).
 3. **per-(channel, SF) scanners** -- each channel is scanned once per
    spreading factor in the configured ``sf_set`` by a
    :class:`repro.gateway.runtime.StreamScanner`; scanners sharing a ring
@@ -20,7 +23,9 @@ the streaming runtime of :mod:`repro.gateway.runtime` out to that shape:
    :class:`repro.gateway.workers.DecodeWorkerPool`.  Jobs are tagged with
    their shard's params/channel and carry a per-shard RNG key
    ``(channel, sf, shard_seq)``, so decode results are deterministic no
-   matter how shards interleave or which executor runs the pool.
+   matter how shards interleave or which executor runs the pool.  The
+   bounded queue's drop policy is the backpressure valve; workers run
+   the decode tier's pipeline plus the LoRa FEC/CRC chain.
 
 Telemetry uses the shared dotted names plus per-shard
 ``ch{c}.sf{s}.{metric}`` labels (:func:`repro.gateway.telemetry.shard_label`);
@@ -49,13 +54,14 @@ from repro.trace.recorder import TraceConfig, TraceRecorder
 
 @dataclass(frozen=True)
 class ShardedGatewayConfig:
-    """Everything configurable about one multi-channel gateway run.
+    """Everything configurable about one gateway run.
 
     Parameters
     ----------
     plan:
         The channel grid to demultiplex; must be critically stacked (the
-        channelizer's requirement).
+        channelizer's requirement).  ``ChannelPlan(n_channels=1,
+        bandwidth=...)`` is the single-channel gateway.
     sf_set:
         Spreading factors scanned on *every* channel; duplicates are
         dropped and the set is kept sorted.
@@ -67,24 +73,46 @@ class ShardedGatewayConfig:
     ring_symbols:
         Per-channel ring capacity in symbols of the *largest* configured
         SF (0 sizes automatically to four of its frames).
-    detection_pfa, synchronize, max_users, use_engine, decode_tier, seed:
-        As in :class:`repro.gateway.runtime.GatewayConfig`; ``seed`` is
-        the master seed all per-shard decode RNG keys derive from, and
-        ``decode_tier`` selects the decode pipeline every shard's jobs
-        run through (see :mod:`repro.core.cascade`).
+    detection_pfa:
+        Search-level false-alarm probability per detection scan.
+    synchronize:
+        Snap each window to the preamble grid before decoding.
+    max_users:
+        Cap on SIC user estimates per decoded window; bounds the
+        worst-case decode time on windows full of interference
+        (None = uncapped).
+    decode_tier:
+        Which pipeline decodes each window: ``"full"`` (default),
+        ``"cascade"`` (Tier-0 fast path with escalation to the full
+        Choir pipeline) or ``"fast"`` (Tier 0 only); see
+        :mod:`repro.core.cascade`.
+    seed:
+        Master seed all per-shard decode RNG keys derive from.
     taps_per_branch:
         Prototype filter length per channelizer branch.
-    trace, trace_sample_rate, trace_always_sample_failures:
-        Provenance tracing, as in
-        :class:`repro.gateway.runtime.GatewayConfig`; sampling stays
-        deterministic per shard because directives key on
-        ``(channel, sf, shard_seq)``.
-    profile, profile_alloc:
-        Kernel/resource profiling, as in
-        :class:`repro.gateway.runtime.GatewayConfig`; the channelizer's
-        pushes are accounted under the run-level ambient profiler, the
-        per-job decode kernels under job-local profilers merged by the
-        pool.
+    trace:
+        Attach a :class:`repro.trace.TraceRecorder` to the run: record
+        every detection and decode outcome, and build provenance span
+        trees per the sampling policy below.
+    trace_sample_rate:
+        Fraction of jobs whose span tree is retained unconditionally
+        (deterministic per shard, since directives key on
+        ``(channel, sf, shard_seq)``; 1.0 = every job).
+    trace_always_sample_failures:
+        Retain the span tree of every job that fails CRC, whatever the
+        sample rate.
+    profile:
+        Attach a :class:`repro.profile.KernelProfiler` to the run:
+        per-kernel wall/FFT/bytes accounting, folded into telemetry
+        (``profile.kernel.*``) and reported on the
+        :class:`repro.gateway.runtime.GatewayReport` alongside a
+        resource summary.  The channelizer's pushes and detection scans
+        are accounted under the run-level ambient profiler, the per-job
+        decode kernels under job-local profilers merged by the pool.
+    profile_alloc:
+        With ``profile``, additionally track allocations via
+        ``tracemalloc`` and keep the top so-many sites (0 = off; this
+        is the expensive knob, ~2-4x slowdown).
     """
 
     plan: ChannelPlan = field(default_factory=ChannelPlan)
@@ -100,7 +128,6 @@ class ShardedGatewayConfig:
     coding_rate: int = 4
     synchronize: bool = True
     max_users: Optional[int] = 4
-    use_engine: bool = True
     decode_tier: str = "full"
     seed: Optional[int] = None
     taps_per_branch: int = DEFAULT_TAPS_PER_BRANCH
@@ -134,12 +161,16 @@ class ShardedGatewayConfig:
 
 
 class ShardedGateway:
-    """Wideband base-station runtime: channelizer fan-out, shared decode pool.
+    """Streaming base-station runtime: channelizer fan-out, shared decode pool.
 
     Construct with a :class:`ShardedGatewayConfig`, then :meth:`run` it
     over a wideband :class:`repro.gateway.sources.SampleSource` (for
     synthetic traffic, a :class:`repro.gateway.sources.SyntheticTrafficSource`
-    built with the same ``plan``).
+    built with the same ``plan``).  A fresh :class:`Telemetry` registry
+    is created per gateway unless one is injected.  ``on_outcome``
+    streams every decode outcome to the caller live (the network-server
+    uplink tap); see :class:`repro.gateway.workers.DecodeWorkerPool` for
+    its threading contract.
     """
 
     def __init__(
@@ -164,6 +195,7 @@ class ShardedGateway:
         probe = [
             StreamScanner(
                 config.shard_params(sf),
+                0,
                 config.payload_len,
                 Telemetry(),
                 coding_rate=config.coding_rate,
@@ -182,6 +214,8 @@ class ShardedGateway:
                     f"frames of the largest SF ({2 * max_frame // n} symbols needed)"
                 )
         else:
+            # Four frames: room for one packet mid-decode-cut, one
+            # arriving, and scan overlap, without unbounded growth.
             capacity = 4 * max_frame
         self._ring_capacity = capacity
 
@@ -193,14 +227,11 @@ class ShardedGateway:
             scanners[channel] = [
                 StreamScanner(
                     config.shard_params(sf),
+                    channel,
                     config.payload_len,
                     self.telemetry,
                     detection_pfa=config.detection_pfa,
                     coding_rate=config.coding_rate,
-                    channel=channel,
-                    job_params=config.shard_params(sf),
-                    rng_prefix=(channel, sf),
-                    label=shard_label(channel, sf),
                     trace_recorder=self.trace_recorder,
                 )
                 for sf in config.sf_set
@@ -239,11 +270,11 @@ class ShardedGateway:
             drop_policy=config.drop_policy,
             synchronize=config.synchronize,
             coding_rate=config.coding_rate,
-            # Same cut geometry as the single-channel gateway: two symbols
-            # of lead, so the true boundary is inside the first three.
+            # The scanners cut windows with two symbols of lead before the
+            # (window-granular) detected start, so the true boundary is
+            # inside the first three.
             sync_search_symbols=3,
             max_users=config.max_users,
-            use_engine=config.use_engine,
             decode_tier=config.decode_tier,
             rng=config.seed,
             telemetry=telemetry,

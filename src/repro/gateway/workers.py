@@ -151,7 +151,6 @@ def decode_packet_window(
     coding_rate: int = 4,
     sync_search_symbols: int = 0,
     max_users: Optional[int] = None,
-    use_engine: bool = True,
     decode_tier: str = "full",
     trace_directive: Optional[TraceDirective] = None,
     profile: bool = False,
@@ -208,7 +207,6 @@ def decode_packet_window(
         decode_tier,
         params,
         rng=derive_rng(base_seed, *rng_key),
-        use_engine=use_engine,
         synchronize=synchronize,
         coding_rate=coding_rate,
         sync_search_symbols=sync_search_symbols,
@@ -311,10 +309,6 @@ class DecodeWorkerPool:
     max_users:
         Cap on SIC user estimates per window (None = uncapped); bounds
         the worst-case decode time on windows full of interference.
-    use_engine:
-        Route each decoder's residual searches through the batched
-        :class:`repro.core.engine.ResidualEngine` paths (default); the
-        scalar reference loops are selected with ``False``.
     decode_tier:
         Which pipeline decodes each window -- ``"full"`` (default, the
         classic path), ``"cascade"`` (Tier-0 fast path, full Choir on
@@ -355,7 +349,6 @@ class DecodeWorkerPool:
         coding_rate: int = 4,
         sync_search_symbols: int = 0,
         max_users: Optional[int] = None,
-        use_engine: bool = True,
         decode_tier: str = "full",
         rng: RngLike = None,
         telemetry: Optional[Telemetry] = None,
@@ -386,7 +379,6 @@ class DecodeWorkerPool:
         self.coding_rate = coding_rate
         self.sync_search_symbols = sync_search_symbols
         self.max_users = max_users
-        self.use_engine = use_engine
         self.decode_tier = decode_tier
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.trace_recorder = trace_recorder
@@ -461,8 +453,7 @@ class DecodeWorkerPool:
                 coding_rate=self.coding_rate,
                 sync_search_symbols=self.sync_search_symbols,
                 max_users=self.max_users,
-                use_engine=self.use_engine,
-                decode_tier=self.decode_tier,
+                    decode_tier=self.decode_tier,
                 trace_directive=self._directive(job),
                 profile=self.profiler is not None,
             )
@@ -621,7 +612,6 @@ class DecodeWorkerPool:
             coding_rate=self.coding_rate,
             sync_search_symbols=self.sync_search_symbols,
             max_users=self.max_users,
-            use_engine=self.use_engine,
             decode_tier=self.decode_tier,
             trace_directive=self._directive(job),
             profile=self.profiler is not None,

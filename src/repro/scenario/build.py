@@ -173,7 +173,6 @@ def build_gateway_config(
         drop_policy=gw.drop_policy,
         detection_pfa=gw.detection_pfa,
         max_users=max_users,
-        use_engine=gw.use_engine,
         decode_tier=decode_tier,
         seed=spec.sweep.seed,
     )
@@ -208,7 +207,7 @@ def report_digest(report: Any) -> Dict[str, Any]:
     hand-constructed config -- must produce *equal* digests; the
     byte-identity test serializes both to JSON and compares the bytes.
     """
-    digest: Dict[str, Any] = {
+    return {
         "samples_in": int(report.samples_in),
         "chunks_in": int(report.chunks_in),
         "samples_evicted": int(report.samples_evicted),
@@ -218,13 +217,11 @@ def report_digest(report: Any) -> Dict[str, Any]:
         "crc_failures": int(report.crc_failures),
         "decode_errors": int(report.decode_errors),
         "decoded_payloads": [p.hex() for p in report.decoded_payloads],
-    }
-    if report.shards is not None:
-        digest["shards"] = {
+        "shards": {
             label: dict(sorted(counters.items()))
             for label, counters in sorted(report.shards.items())
-        }
-    return digest
+        },
+    }
 
 
 def offered_load_erlangs(spec: ScenarioSpec, n_nodes: int) -> float:

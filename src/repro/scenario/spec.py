@@ -343,7 +343,6 @@ class GatewaySpec:
     chunk_samples: int = 4096
     decode_tier: str = "cascade"
     max_users: Optional[int] = 4
-    use_engine: bool = True
 
     def validate(self) -> None:
         """Raise :class:`ScenarioError` on out-of-domain fields."""
@@ -406,7 +405,6 @@ class GatewaySpec:
             ),
             decode_tier=fields.take("decode_tier", "str", cls.decode_tier),
             max_users=fields.take("max_users", "int-or-null", cls.max_users),
-            use_engine=fields.take("use_engine", "bool", cls.use_engine),
         )
         fields.finish()
         spec.validate()
@@ -423,7 +421,6 @@ class GatewaySpec:
             "chunk_samples": self.chunk_samples,
             "decode_tier": self.decode_tier,
             "max_users": self.max_users,
-            "use_engine": self.use_engine,
         }
 
 

@@ -12,7 +12,7 @@ between the two worlds is a tiny header convention:
 :func:`encode_uplink_payload` packs ``device_addr`` and ``fcnt`` into the
 first four payload bytes (little-endian u16 each) and
 :func:`decode_uplink_payload` recovers them -- which is how a real
-:class:`repro.gateway.Gateway` run feeds the server
+:class:`repro.gateway.ShardedGateway` run feeds the server
 (:func:`uplinks_from_report` / :func:`uplink_from_outcome`).
 """
 

@@ -112,8 +112,8 @@ def chrome_trace(
     """
     data = trace_data(recorder)
     packets = recorder.packets
-    # One track (tid) per shard label; unlabeled single-channel traffic
-    # shares track 0.  Labels sort deterministically, so track numbering
+    # One track (tid) per shard label; unlabeled jobs (a decode pool
+    # driven without a gateway) share track 0.  Labels sort deterministically, so track numbering
     # is stable across runs.
     labels = sorted({packet.label for packet in packets})
     tids = {label: index for index, label in enumerate(labels)}

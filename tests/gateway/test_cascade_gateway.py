@@ -11,8 +11,6 @@ import numpy as np
 import pytest
 
 from repro.gateway import (
-    Gateway,
-    GatewayConfig,
     ShardedGateway,
     ShardedGatewayConfig,
     SyntheticTrafficSource,
@@ -22,7 +20,7 @@ from repro.mac.simulator import NodeConfig
 from repro.phy.params import ChannelPlan, LoRaParams
 from repro.trace.export import load_trace, write_trace
 from repro.trace.forensics import UNKNOWN, analyze
-from tests.gateway.conftest import PARAMS, PAYLOAD_LEN
+from tests.gateway.conftest import PARAMS, PAYLOAD_LEN, one_channel_config
 
 
 def _source():
@@ -37,8 +35,7 @@ def _source():
 
 
 def _run(decode_tier):
-    config = GatewayConfig(
-        params=PARAMS,
+    config = one_channel_config(
         payload_len=PAYLOAD_LEN,
         n_workers=2,
         executor="thread",
@@ -48,20 +45,20 @@ def _run(decode_tier):
         trace_sample_rate=0.0,
         trace_always_sample_failures=True,
     )
-    return Gateway(config).run(_source())
+    return ShardedGateway(config).run(_source())
 
 
 class TestConfigValidation:
     def test_gateway_config_rejects_unknown_tier(self):
         with pytest.raises(ValueError, match="decode_tier"):
-            GatewayConfig(params=PARAMS, decode_tier="turbo")
+            one_channel_config(decode_tier="turbo")
 
     def test_sharded_config_rejects_unknown_tier(self):
         with pytest.raises(ValueError, match="decode_tier"):
             ShardedGatewayConfig(sf_set=(7,), decode_tier="turbo")
 
     def test_default_tier_is_full(self):
-        assert GatewayConfig(params=PARAMS).decode_tier == "full"
+        assert one_channel_config().decode_tier == "full"
         assert ShardedGatewayConfig(sf_set=(7,)).decode_tier == "full"
 
 

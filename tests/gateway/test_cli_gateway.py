@@ -3,8 +3,10 @@
 import json
 
 import numpy as np
+import pytest
 
 from repro.cli import main
+from repro.gateway import ShardedGateway
 from tests.gateway.conftest import PARAMS
 
 
@@ -18,7 +20,36 @@ FAST = [
 ]
 
 
+@pytest.fixture
+def run_reports(monkeypatch):
+    """Every report a :meth:`ShardedGateway.run` returns during the test."""
+    reports = []
+    original = ShardedGateway.run
+
+    def recording_run(self, source):
+        report = original(self, source)
+        reports.append(report)
+        return report
+
+    monkeypatch.setattr(ShardedGateway, "run", recording_run)
+    return reports
+
+
 class TestGatewayCommand:
+    def test_default_run_is_one_shard(self, run_reports, capsys):
+        assert main(FAST) == 0
+        assert "across 1 channel(s)" in capsys.readouterr().out
+        (report,) = run_reports
+        assert list(report.shards) == ["ch0.sf7"]
+
+    def test_replay_is_one_shard(self, run_reports, tmp_path, capsys):
+        path = tmp_path / "capture.npy"
+        np.save(path, np.zeros(40 * PARAMS.samples_per_symbol, dtype=complex))
+        assert main(["gateway", "--input", str(path), "--sf", "8"]) == 0
+        assert "replaying" in capsys.readouterr().out
+        (report,) = run_reports
+        assert list(report.shards) == ["ch0.sf8"]
+
     def test_synthetic_run_prints_summary(self, capsys):
         assert main(FAST) == 0
         out = capsys.readouterr().out

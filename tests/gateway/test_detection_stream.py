@@ -11,9 +11,9 @@ import pytest
 
 from repro.channel.noise import awgn
 from repro.core.detection import align_to_window_grid, sliding_packet_search
-from repro.gateway import Gateway, GatewayConfig, SyntheticTrafficSource
+from repro.gateway import ShardedGateway, SyntheticTrafficSource
 from repro.hardware.radio import LoRaRadio
-from tests.gateway.conftest import PARAMS, PAYLOAD_LEN, periodic_node
+from tests.gateway.conftest import PARAMS, PAYLOAD_LEN, one_channel_config, periodic_node
 
 
 def _frame(seed: int, amplitude: float) -> np.ndarray:
@@ -106,10 +106,8 @@ class TestChunkStraddle:
             chunk_samples=chunk_samples,
             rng=1,
         )
-        config = GatewayConfig(
-            params=PARAMS, payload_len=PAYLOAD_LEN, executor="serial", seed=1
-        )
-        report = Gateway(config).run(source)
+        config = one_channel_config(payload_len=PAYLOAD_LEN, executor="serial", seed=1)
+        report = ShardedGateway(config).run(source)
         sent = sorted(p.payload for p in source.transmitted)
         assert len(sent) > 0
         assert sorted(report.decoded_payloads) == sent

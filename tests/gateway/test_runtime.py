@@ -4,25 +4,25 @@ import numpy as np
 import pytest
 
 from repro.gateway import (
-    Gateway,
-    GatewayConfig,
     GatewayReport,
     IqFileSource,
+    ShardedGateway,
+    StreamScanner,
     SyntheticTrafficSource,
+    Telemetry,
 )
 from repro.mac.simulator import NodeConfig
-from tests.gateway.conftest import PARAMS, PAYLOAD_LEN, periodic_node
+from tests.gateway.conftest import PARAMS, PAYLOAD_LEN, one_channel_config, periodic_node
 
 
 def _run(source, **overrides) -> GatewayReport:
-    config = GatewayConfig(
-        params=PARAMS,
+    config = one_channel_config(
         payload_len=PAYLOAD_LEN,
         executor=overrides.pop("executor", "serial"),
         seed=overrides.pop("seed", 0),
         **overrides,
     )
-    return Gateway(config).run(source)
+    return ShardedGateway(config).run(source)
 
 
 class TestEndToEnd:
@@ -142,21 +142,21 @@ class TestReport:
 
 class TestConfig:
     def test_frame_geometry(self):
-        config = GatewayConfig(params=PARAMS, payload_len=PAYLOAD_LEN)
-        assert config.n_data_symbols() == 16
-        assert config.frame_samples() == (PARAMS.preamble_len + 16) * PARAMS.samples_per_symbol
+        scanner = StreamScanner(PARAMS, 0, PAYLOAD_LEN, Telemetry())
+        assert scanner.n_data_symbols == 16
+        assert scanner.frame_samples == (PARAMS.preamble_len + 16) * PARAMS.samples_per_symbol
 
     def test_ring_must_hold_two_frames(self):
-        config = GatewayConfig(params=PARAMS, payload_len=PAYLOAD_LEN, ring_symbols=10)
+        config = one_channel_config(payload_len=PAYLOAD_LEN, ring_symbols=10)
         with pytest.raises(ValueError, match="two"):
-            Gateway(config)
+            ShardedGateway(config)
 
     def test_explicit_ring_size_accepted(self):
-        config = GatewayConfig(params=PARAMS, payload_len=PAYLOAD_LEN, ring_symbols=96)
+        config = one_channel_config(payload_len=PAYLOAD_LEN, ring_symbols=96)
         source = SyntheticTrafficSource(
             PARAMS, [periodic_node(period_s=0.3)], duration_s=0.4,
             payload_len=PAYLOAD_LEN, rng=0,
         )
-        report = Gateway(config).run(source)
+        report = ShardedGateway(config).run(source)
         sent = sorted(p.payload for p in source.transmitted)
         assert sorted(report.decoded_payloads) == sent

@@ -10,8 +10,6 @@ import numpy as np
 import pytest
 
 from repro.gateway import (
-    Gateway,
-    GatewayConfig,
     ShardedGateway,
     ShardedGatewayConfig,
     SyntheticTrafficSource,
@@ -19,6 +17,7 @@ from repro.gateway import (
 )
 from repro.mac.simulator import NodeConfig
 from repro.phy.params import ChannelPlan, LoRaParams
+from tests.gateway.conftest import one_channel_config
 
 PAYLOAD_LEN = 4
 
@@ -67,10 +66,10 @@ def _single_channel_rate(spreading_factor, period_s=0.3, duration_s=0.6):
         payload_len=PAYLOAD_LEN,
         rng=0,
     )
-    config = GatewayConfig(
-        params=params, payload_len=PAYLOAD_LEN, executor="serial", seed=0
+    config = one_channel_config(
+        params, payload_len=PAYLOAD_LEN, executor="serial", seed=0
     )
-    report = Gateway(config).run(source)
+    report = ShardedGateway(config).run(source)
     assert source.transmitted
     return report.packets_decoded / len(source.transmitted)
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 import threading
 from pathlib import Path
 
-from repro.gateway import Gateway, GatewayConfig, SyntheticTrafficSource
+from repro.gateway import ShardedGateway, SyntheticTrafficSource
 from repro.gateway.workers import DecodeOutcome, DecodeWorkerPool
 from repro.tools.analysis.witness import cross_check, install, static_verdicts
 from repro.trace.recorder import TraceRecorder
-from tests.gateway.conftest import PARAMS, PAYLOAD_LEN, periodic_node
+from tests.gateway.conftest import PARAMS, PAYLOAD_LEN, one_channel_config, periodic_node
 
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src"
 
@@ -28,15 +28,14 @@ class TestWitnessEndToEnd:
         source = SyntheticTrafficSource(
             PARAMS, [periodic_node()], duration_s=1.0, payload_len=PAYLOAD_LEN, rng=0
         )
-        config = GatewayConfig(
-            params=PARAMS,
+        config = one_channel_config(
             payload_len=PAYLOAD_LEN,
             executor="thread",
             n_workers=4,
             seed=0,
         )
         with install(DecodeWorkerPool) as observed:
-            report = Gateway(config).run(source)
+            report = ShardedGateway(config).run(source)
         assert report.decoded_payloads  # the run actually decoded traffic
         assert observed, "gateway never built a worker pool"
         verdicts = static_verdicts(

@@ -6,7 +6,7 @@ decode time to within 20% -- if an instrumented kernel is dropped or a
 frame leaks, the two totals diverge.
 """
 
-from repro.gateway import Gateway, GatewayConfig, SyntheticTrafficSource
+from repro.gateway import ShardedGateway, SyntheticTrafficSource
 from repro.scenario.campaign import run_variant
 from repro.scenario.spec import (
     GeometrySpec,
@@ -15,7 +15,7 @@ from repro.scenario.spec import (
     SweepSpec,
     TrafficSpec,
 )
-from tests.gateway.conftest import PARAMS, PAYLOAD_LEN, periodic_node
+from tests.gateway.conftest import PARAMS, PAYLOAD_LEN, one_channel_config, periodic_node
 
 
 def run_profiled(**overrides):
@@ -26,15 +26,14 @@ def run_profiled(**overrides):
     source = SyntheticTrafficSource(
         PARAMS, nodes, duration_s=1.0, payload_len=PAYLOAD_LEN, rng=0
     )
-    config = GatewayConfig(
-        params=PARAMS,
+    config = one_channel_config(
         payload_len=PAYLOAD_LEN,
         executor=overrides.pop("executor", "serial"),
         seed=0,
         profile=overrides.pop("profile", True),
         **overrides,
     )
-    return Gateway(config).run(source)
+    return ShardedGateway(config).run(source)
 
 
 def decode_window_wall_s(profile_state) -> float:

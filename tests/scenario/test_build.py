@@ -184,7 +184,6 @@ class TestByteIdenticalReports:
             drop_policy="block",
             detection_pfa=1e-3,
             max_users=4,
-            use_engine=True,
             decode_tier="cascade",
             seed=3,
         )

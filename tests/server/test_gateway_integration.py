@@ -1,6 +1,6 @@
 """Real-waveform bridge: streaming gateways feeding the network server.
 
-Two :class:`repro.gateway.Gateway` instances decode the *same* node
+Two one-channel :class:`repro.gateway.ShardedGateway` instances decode the *same* node
 schedule at different link qualities (the same seed renders identical
 timing; only SNR differs).  ``payload_fn`` stamps each transmission with
 the ``(device_addr, fcnt)`` header, :func:`uplinks_from_report` replays
@@ -8,7 +8,7 @@ the decodes as uplink records, and the server deduplicates across the
 two receptions -- IQ samples to application uplinks, end to end.
 """
 
-from repro.gateway import Gateway, GatewayConfig, SyntheticTrafficSource
+from repro.gateway import ShardedGateway, SyntheticTrafficSource
 from repro.server.frames import (
     decode_uplink_payload,
     encode_uplink_payload,
@@ -16,7 +16,7 @@ from repro.server.frames import (
     uplinks_from_report,
 )
 from repro.server.server import NetworkServer, ServerConfig
-from tests.gateway.conftest import PARAMS, PAYLOAD_LEN, periodic_node
+from tests.gateway.conftest import PARAMS, PAYLOAD_LEN, one_channel_config, periodic_node
 
 DEVICE_ADDR = 9
 
@@ -34,10 +34,8 @@ def run_gateway(snr_db: float):
         rng=0,
         payload_fn=stamped,
     )
-    config = GatewayConfig(
-        params=PARAMS, payload_len=PAYLOAD_LEN, executor="serial", seed=0
-    )
-    return Gateway(config).run(source)
+    config = one_channel_config(payload_len=PAYLOAD_LEN, executor="serial", seed=0)
+    return ShardedGateway(config).run(source)
 
 
 class TestWaveformToServer:
@@ -110,14 +108,13 @@ class TestWaveformToServer:
             rng=0,
             payload_fn=stamped,
         )
-        config = GatewayConfig(
-            params=PARAMS,
+        config = one_channel_config(
             payload_len=PAYLOAD_LEN,
             executor="thread",
             n_workers=2,
             seed=0,
         )
-        report = Gateway(config, on_outcome=forward).run(source)
+        report = ShardedGateway(config, on_outcome=forward).run(source)
         result = server.finish()
         assert report.packets_decoded > 0
         assert result.n_ingested == report.packets_decoded

@@ -94,7 +94,7 @@ class TestThreadedIngestWitness:
 
 class TestConcurrentCallers:
     def test_direct_multithreaded_handle_uplink_is_race_free(self):
-        # The live-gateway tap (Gateway on_outcome) calls handle_uplink
+        # The live-gateway tap (ShardedGateway on_outcome) calls handle_uplink
         # from decode worker threads; the witness must see every one of
         # those cross-thread writes performed under the server lock.
         server = make_server()

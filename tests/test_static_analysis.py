@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.tools.lint import lint_paths
+from repro.tools.analysis import lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"

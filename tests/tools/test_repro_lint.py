@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.tools.lint import RULES, lint_paths, lint_source, main
+from repro.tools.analysis import RULES, lint_paths, lint_source, main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.gateway import Gateway, GatewayConfig, SyntheticTrafficSource
+from repro.gateway import ShardedGateway, SyntheticTrafficSource
 from repro.mac.simulator import NodeConfig
 from repro.trace.export import load_trace, write_trace
 from repro.trace.forensics import (
@@ -29,7 +29,7 @@ from repro.trace.forensics import (
     sic_tier_reason,
 )
 from repro.trace.model import PacketTrace, Span, SpanEvent
-from tests.gateway.conftest import PARAMS, PAYLOAD_LEN
+from tests.gateway.conftest import PARAMS, PAYLOAD_LEN, one_channel_config
 
 
 def _outcome(**overrides):
@@ -258,8 +258,7 @@ class TestBenchScenario:
             payload_len=PAYLOAD_LEN,
             rng=0,
         )
-        config = GatewayConfig(
-            params=PARAMS,
+        config = one_channel_config(
             payload_len=PAYLOAD_LEN,
             n_workers=2,
             executor="thread",
@@ -268,7 +267,7 @@ class TestBenchScenario:
             trace_sample_rate=0.0,
             trace_always_sample_failures=True,
         )
-        return Gateway(config).run(source)
+        return ShardedGateway(config).run(source)
 
     def test_every_lost_packet_gets_a_reason(self, bench_report, tmp_path):
         path = tmp_path / "bench_trace.jsonl"

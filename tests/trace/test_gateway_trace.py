@@ -10,13 +10,12 @@ import time
 
 from repro.gateway import (
     DecodeWorkerPool,
-    Gateway,
-    GatewayConfig,
+    ShardedGateway,
     SyntheticTrafficSource,
 )
 from repro.gateway.workers import DecodeJob
 from repro.trace.recorder import TraceConfig, TraceRecorder, sample_key
-from tests.gateway.conftest import PARAMS, PAYLOAD_LEN, periodic_node
+from tests.gateway.conftest import PARAMS, PAYLOAD_LEN, one_channel_config, periodic_node
 from tests.gateway.test_workers import N_DATA, _clean_window
 
 
@@ -24,8 +23,7 @@ def _run(executor="serial", seed=0, **trace_overrides):
     source = SyntheticTrafficSource(
         PARAMS, [periodic_node()], duration_s=1.0, payload_len=PAYLOAD_LEN, rng=seed
     )
-    config = GatewayConfig(
-        params=PARAMS,
+    config = one_channel_config(
         payload_len=PAYLOAD_LEN,
         executor=executor,
         n_workers=4 if executor != "serial" else 1,
@@ -33,7 +31,7 @@ def _run(executor="serial", seed=0, **trace_overrides):
         trace=True,
         **trace_overrides,
     )
-    return Gateway(config).run(source)
+    return ShardedGateway(config).run(source)
 
 
 class TestGatewayTracing:
@@ -41,8 +39,8 @@ class TestGatewayTracing:
         source = SyntheticTrafficSource(
             PARAMS, [periodic_node()], duration_s=0.5, payload_len=PAYLOAD_LEN, rng=0
         )
-        report = Gateway(
-            GatewayConfig(params=PARAMS, payload_len=PAYLOAD_LEN, seed=0)
+        report = ShardedGateway(
+            one_channel_config(payload_len=PAYLOAD_LEN, seed=0)
         ).run(source)
         assert report.trace is None
 
@@ -50,7 +48,7 @@ class TestGatewayTracing:
         report = _run()
         recorder = report.trace
         assert isinstance(recorder, TraceRecorder)
-        assert recorder.header["run_kind"] == "gateway"
+        assert recorder.header["run_kind"] == "sharded-gateway"
         assert recorder.header["seed"] == 0
         assert recorder.truth  # synthetic source ships ground truth
         assert len(recorder.detections) == report.packets_detected

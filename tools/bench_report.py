@@ -24,22 +24,22 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import platform
 import sys
 from pathlib import Path
+from typing import Callable
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.gateway import (  # noqa: E402
-    Gateway,
-    GatewayConfig,
     ShardedGateway,
     ShardedGatewayConfig,
     SyntheticTrafficSource,
 )
 from repro.mac.simulator import NodeConfig  # noqa: E402
-from repro.phy.params import ChannelPlan, LoRaParams  # noqa: E402
+from repro.phy.params import ChannelPlan  # noqa: E402
 
 #: Telemetry histograms exported per stage.
 STAGE_METRICS = (
@@ -72,9 +72,9 @@ def run_benchmark(
 ) -> dict:
     """Run one gateway benchmark and return the JSON-ready result dict.
 
-    ``n_channels > 1`` (or a multi-SF ``sf_set``) benchmarks the sharded
-    multi-channel gateway over wideband synthetic traffic instead of the
-    single-channel runtime; ``telemetry_out`` additionally dumps the run's
+    Nodes are dealt round-robin over the ``n_channels`` EU868-style
+    channels and the SFs of ``sf_set`` (default: ``spreading_factor``
+    alone); ``telemetry_out`` additionally dumps the run's
     telemetry registry as JSON-lines (the CI artifact), ``metrics_out``
     writes Prometheus text exposition, and ``trace_out`` enables
     provenance tracing and writes the trace there.  ``profile`` (or
@@ -86,61 +86,37 @@ def run_benchmark(
     comparable).
     """
     sfs = tuple(sf_set) if sf_set else (spreading_factor,)
-    params = LoRaParams(spreading_factor=sfs[0])
     profiling = bool(profile or profile_out or stacks_out)
-    sharded = n_channels > 1 or len(sfs) > 1
-    gateway: Gateway | ShardedGateway
-    if sharded:
-        plan = ChannelPlan.eu868_style(n_channels)
-        nodes = [
-            NodeConfig(
-                node_id=i,
-                snr_db=snr_db,
-                period_s=period_s,
-                channel=i % plan.n_channels,
-                spreading_factor=sfs[i % len(sfs)],
-            )
-            for i in range(n_nodes)
-        ]
-        source = SyntheticTrafficSource(
-            params,
-            nodes,
-            duration_s=duration_s,
-            payload_len=payload_len,
-            plan=plan,
-            rng=seed,
+    plan = ChannelPlan.eu868_style(n_channels)
+    config = ShardedGatewayConfig(
+        plan=plan,
+        sf_set=sfs,
+        payload_len=payload_len,
+        n_workers=n_workers,
+        executor=executor,
+        seed=seed,
+        trace=bool(trace_out),
+        profile=profiling,
+    )
+    nodes = [
+        NodeConfig(
+            node_id=i,
+            snr_db=snr_db,
+            period_s=period_s,
+            channel=i % plan.n_channels,
+            spreading_factor=sfs[i % len(sfs)],
         )
-        gateway = ShardedGateway(
-            ShardedGatewayConfig(
-                plan=plan,
-                sf_set=sfs,
-                payload_len=payload_len,
-                n_workers=n_workers,
-                executor=executor,
-                seed=seed,
-                trace=bool(trace_out),
-                profile=profiling,
-            )
-        )
-    else:
-        nodes = [
-            NodeConfig(node_id=i, snr_db=snr_db, period_s=period_s)
-            for i in range(n_nodes)
-        ]
-        source = SyntheticTrafficSource(
-            params, nodes, duration_s=duration_s, payload_len=payload_len, rng=seed
-        )
-        gateway = Gateway(
-            GatewayConfig(
-                params=params,
-                payload_len=payload_len,
-                n_workers=n_workers,
-                executor=executor,
-                seed=seed,
-                trace=bool(trace_out),
-                profile=profiling,
-            )
-        )
+        for i in range(n_nodes)
+    ]
+    source = SyntheticTrafficSource(
+        config.shard_params(sfs[0]),
+        nodes,
+        duration_s=duration_s,
+        payload_len=payload_len,
+        plan=plan,
+        rng=seed,
+    )
+    gateway = ShardedGateway(config)
     report = gateway.run(source)
     if telemetry_out:
         gateway.telemetry.write_jsonl(telemetry_out)
@@ -198,9 +174,8 @@ def run_benchmark(
             "crc_failures": report.crc_failures,
         },
         "stages": stages,
+        "shards": report.shards,
     }
-    if report.shards is not None:
-        result["shards"] = report.shards
     if profile_out:
         from repro.profile import build_manifest
         from repro.scenario.build import report_digest
@@ -266,25 +241,18 @@ def latency_metrics(report: dict) -> dict[str, float]:
     return metrics
 
 
+def runner_for(baseline: dict) -> Callable[..., dict]:
+    """The ``run_benchmark`` of the tool that produced ``baseline``."""
+    name = baseline.get("benchmark")
+    if name in ("decode", "cascade", "capacity"):
+        sys.path.insert(0, str(Path(__file__).resolve().parent))
+        return importlib.import_module(f"bench_{name}").run_benchmark
+    return run_benchmark
+
+
 def rerun_from(baseline: dict) -> dict:
     """Re-run the benchmark a baseline report was produced by, same config."""
-    config = dict(baseline.get("config", {}))
-    if baseline.get("benchmark") == "decode":
-        sys.path.insert(0, str(Path(__file__).resolve().parent))
-        import bench_decode
-
-        return bench_decode.run_benchmark(**config)
-    if baseline.get("benchmark") == "cascade":
-        sys.path.insert(0, str(Path(__file__).resolve().parent))
-        import bench_cascade
-
-        return bench_cascade.run_benchmark(**config)
-    if baseline.get("benchmark") == "capacity":
-        sys.path.insert(0, str(Path(__file__).resolve().parent))
-        import bench_capacity
-
-        return bench_capacity.run_benchmark(**config)
-    return run_benchmark(**config)
+    return runner_for(baseline)(**baseline.get("config", {}))
 
 
 def compare_reports(

@@ -22,7 +22,7 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.tools.lint import main  # noqa: E402
+from repro.tools.analysis import main  # noqa: E402
 
 if __name__ == "__main__":
     sys.exit(main())
